@@ -16,8 +16,16 @@ funnels through:
 * **Kraus interleave** — the legacy *physics* (unitary + per-site Kraus
   splitting): reported for context with its splitting error against
   the exact Lindblad result; not gated on agreement.
-* **trajectories** — the quantum-jump sampler for large D; reported
-  for context.
+* **trajectories** — the quantum-jump sampler; reported for context.
+* **D = 27 fresh pulse run** — three 3-level transmons with T1/T2 and
+  one fresh 16-sample drive run (the shape of perfbench's
+  ``lindblad_d27`` request): the Taylor action of the Lindblad
+  generator on the ``(D, D)`` state against one dense ``(D^2, D^2)``
+  superpropagator build. Gated: action >= 10x faster, states
+  identical to 1e-10.
+* **D = 64 exact run** — three 4-level transmons, one fresh pulse
+  through ``ScheduleExecutor.execute`` (the action path; a single
+  superoperator would be 268 MB). Gated under a wall-time ceiling.
 
 Run directly (the CI smoke mode):
 
@@ -43,6 +51,9 @@ from repro.xp import use_backend
 
 RABI = 50e6
 DT = 1e-9
+#: Wall-time ceiling of the exact D = 64 run (also in baselines.json);
+#: ~0.3-1 s measured on a 2-vCPU VM.
+D64_CEILING_S = 5.0
 
 
 def make_model():
@@ -79,6 +90,30 @@ def echo_schedule(blocks: int, pulse_samples: int, delay_samples: int):
         s.append(Play(p1, f1, constant_waveform(pulse_samples, amp * 0.7)))
         s.append(Delay(p0, delay_samples))
         s.append(Delay(p1, delay_samples))
+    return s
+
+
+def three_transmons(levels: int):
+    """Three coupled transmons with T1/T2 (D = levels^3)."""
+    return transmon_model(
+        3,
+        qubit_frequencies=[5.0e9, 5.1e9, 5.2e9],
+        anharmonicities=[-300e6, -280e6, -260e6],
+        rabi_rates=[RABI] * 3,
+        couplings={(0, 1): 3e6, (1, 2): 3e6},
+        dt=DT,
+        levels=levels,
+        decoherence=[DecoherenceSpec(t1=20e-6, t2=15e-6)] * 3,
+    )
+
+
+def fresh_pulse(rng, samples: int = 16):
+    """One square pulse per drive at random phases: a single fresh run."""
+    s = PulseSchedule("fresh-pulse")
+    for q in range(3):
+        amp = (0.2 + 0.05 * q) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+        frame = Frame(f"q{q}-drive-frame", 5.0e9 + 0.1e9 * q)
+        s.append(Play(Port.drive(q), frame, constant_waveform(samples, amp)))
     return s
 
 
@@ -222,6 +257,58 @@ def main() -> None:
         f"({c64_vs_c128:5.1f}x vs c128 engine)   max|drho|={err_c64:.2e}"
     )
 
+    # 7. D = 27: one fresh 16-sample drive run, action vs dense build.
+    rng = np.random.default_rng(27)
+    executor27 = ScheduleExecutor(three_transmons(3))
+    engine27 = executor27.open_system
+    hs27, steps27 = run_stack(executor27, fresh_pulse(rng))
+    psi27 = np.zeros(27, dtype=np.complex128)
+    psi27[0] = 1.0
+
+    def dense27():
+        engine27.cache.clear()
+        return engine27.evolve_density_matrix(
+            hs27, steps27, psi27, method="superoperator"
+        )
+
+    t_dense27, rho_dense27 = best_of(dense27, 1 if args.quick else 2)
+    t_action27, rho_action27 = best_of(
+        lambda: engine27.evolve_density_matrix(
+            hs27, steps27, psi27, method="action"
+        ),
+        repeats,
+    )
+    err27 = float(np.abs(rho_action27 - rho_dense27).max())
+    speedup27 = t_dense27 / t_action27
+    print(
+        f"D=27 fresh run   dense {t_dense27 * 1e3:8.2f} ms   action "
+        f"{t_action27 * 1e3:8.2f} ms   {speedup27:5.1f}x   "
+        f"max|drho|={err27:.2e}"
+    )
+
+    # 8. D = 64: an exact run through the executor (auto -> action),
+    #    next to the quantum-jump estimate it replaces.
+    executor64 = ScheduleExecutor(three_transmons(4))
+    schedule64 = fresh_pulse(rng)
+    t0 = time.perf_counter()
+    rho64 = executor64.execute(schedule64, shots=0).final_state
+    t_d64 = time.perf_counter() - t0
+    trace_err64 = float(abs(np.trace(rho64) - 1.0))
+    hs64, steps64 = run_stack(executor64, schedule64)
+    psi64 = np.zeros(64, dtype=np.complex128)
+    psi64[0] = 1.0
+    t0 = time.perf_counter()
+    traj64 = executor64.open_system.evolve_trajectories(
+        hs64, steps64, psi64, n_trajectories=n_traj, rng=rng
+    )
+    t_traj64 = time.perf_counter() - t0
+    print(
+        f"D=64 exact run   {t_d64 * 1e3:8.2f} ms   (|tr - 1|={trace_err64:.1e}, "
+        f"superpropagators cached: {len(executor64.propagator_cache)}); "
+        f"trajectories x{n_traj} {t_traj64 * 1e3:.2f} ms, "
+        f"max|drho|={np.abs(traj64 - rho64).max():.2e}"
+    )
+
     write_artifact(
         "open_system",
         {
@@ -241,6 +328,11 @@ def main() -> None:
             "max_err_warm": err_warm,
             "max_err_c64": err_c64,
             "kraus_splitting_err": err_kraus,
+            "wall_dense_d27_s": t_dense27,
+            "wall_action_d27_s": t_action27,
+            "speedup_d27": speedup27,
+            "max_err_d27": err27,
+            "wall_d64_s": t_d64,
         },
     )
 
@@ -259,10 +351,21 @@ def main() -> None:
         f"complex64 engine only {c64_vs_c128:.2f}x the c128 engine "
         f"(required >= 0.5x)"
     )
+    assert err27 <= 1e-10, f"D=27 action vs dense: {err27:.2e} > 1e-10"
+    assert speedup27 >= 10.0, (
+        f"D=27 action only {speedup27:.1f}x over the dense superpropagator "
+        f"(required >= 10x)"
+    )
+    assert trace_err64 < 1e-10, f"D=64 trace off by {trace_err64:.1e}"
+    assert t_d64 <= D64_CEILING_S, (
+        f"D=64 exact run took {t_d64:.2f} s (ceiling {D64_CEILING_S:g} s)"
+    )
     print(
         f"OK: batched Lindblad engine {speedup:.1f}x (gate >= 5x) over the "
         f"per-slice loop on a D={dim} driven schedule, states identical "
-        f"within 1e-8"
+        f"within 1e-8; D=27 action {speedup27:.1f}x (gate >= 10x) over "
+        f"the dense build; D=64 exact run {t_d64:.2f} s (ceiling "
+        f"{D64_CEILING_S:g} s)"
     )
 
 

@@ -14,7 +14,9 @@ shared machines, and a gate that flakes gets deleted.
 A baseline value is either a bare number (a floor: fail when the
 measured value drops below it) or an object with ``min``/``max``
 bounds — ``{"max": 2.0}`` gates an overhead metric that must stay
-*under* its ceiling (e.g. ``obs_overhead.disabled_overhead_pct``).
+*under* its ceiling (e.g. ``obs_overhead.disabled_overhead_pct``, or
+the wall-time ceiling ``open_system.wall_d64_s`` of the exact D = 64
+Lindblad run).
 An object may also carry ``"optional": true`` for metrics the
 benchmark only emits when the runner qualifies (e.g. the multi-process
 ``cluster_speedup`` needs >= 4 cores): a missing optional metric is

@@ -12,11 +12,13 @@ this simulator instead. It implements:
 * piecewise-constant Schrodinger evolution in the rotating frame, with
   frame-aware carrier modulation (detuning + phase from
   :class:`~repro.core.frame.FrameState`),
-* exact open-system (Lindblad) evolution with finite T1/T2 through the
-  batched superoperator engine of :mod:`repro.sim.open_system` (T1
-  amplitude damping, T2 pure dephasing; quantum-jump trajectories for
-  large Hilbert spaces; the legacy per-step Kraus splitting kept as
-  ``open_system_method="kraus"``),
+* exact open-system (Lindblad) evolution with finite T1/T2 through
+  :mod:`repro.sim.open_system` (T1 amplitude damping, T2 pure
+  dephasing): cached ``(D^2, D^2)`` superpropagators or the Taylor
+  action of the generator on the ``(D, D)`` state, whichever a cost
+  model prices cheaper; quantum-jump trajectories on request; the
+  legacy per-step Kraus splitting kept as
+  ``open_system_method="kraus"``,
 * projective measurement with a configurable readout-error model and
   seeded shot sampling,
 * fidelity metrics used by calibration and optimal control.

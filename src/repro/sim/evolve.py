@@ -664,8 +664,17 @@ def hamiltonian_fingerprint(hamiltonian) -> bytes:
     h = hnp.ascontiguousarray(active().to_host(hamiltonian))
     digest = hashlib.blake2b(h.tobytes(), digest_size=16)
     digest.update(str(h.shape).encode())
-    digest.update(str(h.dtype).encode())
+    # dtype.str ('<c16', '<c8') names the dtype as exactly as str(dtype)
+    # at a fifteenth of the cost.
+    digest.update(h.dtype.str.encode())
     return digest.digest()
+
+
+#: Resident-byte ceiling of every :class:`PropagatorCache`. The entry
+#: count alone does not bound memory: one D=27 Lindblad
+#: superpropagator is 8.5 MB, so 4096 of them would be ~35 GB. An
+#: entry larger than the whole budget is not kept at all.
+CACHE_BUDGET_BYTES = 256 << 20
 
 
 class PropagatorCache:
@@ -684,6 +693,10 @@ class PropagatorCache:
     read-only (``.copy()`` before mutating); :meth:`propagators`
     returns a freshly assembled, writable stack.
 
+    The cache evicts least-recently-used entries past *max_entries*
+    or past :data:`CACHE_BUDGET_BYTES` resident bytes, whichever comes
+    first (:attr:`nbytes` reports the current total).
+
     Hit/miss/eviction accounting lives in a
     :class:`~repro.obs.CacheStats` whose every mutation happens under
     the cache lock (concurrent ``compute=`` overrides used to race the
@@ -700,6 +713,7 @@ class PropagatorCache:
             )
         self.max_entries = max_entries
         self._entries: OrderedDict[tuple, object] = OrderedDict()
+        self._nbytes = 0
         self._lock = threading.Lock()
         self.stats = CacheStats(
             self.__len__,
@@ -719,6 +733,13 @@ class PropagatorCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._nbytes = 0
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the cached arrays."""
+        with self._lock:
+            return self._nbytes
 
     @property
     def hits(self) -> int:
@@ -832,31 +853,16 @@ class PropagatorCache:
         inverse = hnp.concatenate(([0], hnp.cumsum(changed)))
         reps = hnp.concatenate(([0], hnp.nonzero(changed)[0] + 1))
         run_sizes = hnp.diff(hnp.concatenate((reps, [n])))
-        keys = [
-            self._key(
-                hamiltonian_fingerprint(hs[k]),
-                dt,
-                steps_arr[k],
-                tag,
-                spec=xp.spec,
-            )
-            for k in reps
-        ]
-        run_props: list = [None] * len(reps)
+        keys = self.keys((hs[k] for k in reps), dt, steps_arr[reps], tag=tag)
+        run_props = self.lookup(keys, weights=run_sizes)
         miss_runs: OrderedDict[tuple, list[int]] = OrderedDict()
         hit_count = miss_count = 0
-        with self._lock:
-            for i, key in enumerate(keys):
-                u = self._entries.get(key)
-                if u is not None:
-                    self._entries.move_to_end(key)
-                    hit_count += int(run_sizes[i])
-                    run_props[i] = u
-                else:
-                    miss_count += int(run_sizes[i])
-                    miss_runs.setdefault(key, []).append(i)
-            self.stats["hits"] += hit_count
-            self.stats["misses"] += miss_count
+        for i, u in enumerate(run_props):
+            if u is None:
+                miss_count += int(run_sizes[i])
+                miss_runs.setdefault(keys[i], []).append(i)
+            else:
+                hit_count += int(run_sizes[i])
         with span(
             "cache",
             cache="propagator",
@@ -874,25 +880,74 @@ class PropagatorCache:
                     hs[sel], dt, steps_arr[sel]
                 )
                 for u, runs in zip(fresh, miss_runs.values()):
-                    # Copy before storing: a row view would pin the whole
-                    # (n_miss, D, D) batch in memory for the entry's LRU
-                    # lifetime.
-                    u = xp.freeze(xp.copy(u))
+                    u = self.insert(keys[runs[0]], u)
                     for i in runs:
                         run_props[i] = u
-                    self._store(keys[runs[0]], u)
             return xp.stack(run_props)[inverse]
 
-    def _store(self, key: tuple, u) -> None:
-        # Lookups hand out the stored array itself (no copy on the hot
-        # path); the caller freezes it first (where the backend supports
-        # it) so an accidental in-place edit becomes an immediate error
-        # instead of silent cache poisoning.
+    def keys(self, hamiltonians, dt: float, steps, *, tag: str = "") -> list:
+        """One cache key per Hamiltonian in *hamiltonians*.
+
+        *hamiltonians* is a ``(n, D, D)`` stack or any iterable of
+        ``(D, D)`` slices, *steps* the matching ``n`` integers; *tag*
+        namespaces the entries as in :meth:`propagators`.
+        """
+        spec = active().spec
+        return [
+            self._key(hamiltonian_fingerprint(h), dt, k, tag, spec=spec)
+            for h, k in zip(hamiltonians, steps)
+        ]
+
+    def lookup(self, keys, *, weights=None) -> list:
+        """The cached entry for each key, or ``None`` on a miss.
+
+        Counts one hit or miss per key (or ``weights[i]`` of them, when
+        a key stands for a run of identical slices) and refreshes the
+        LRU position of every hit.
+        """
+        found: list = []
+        hits = misses = 0
         with self._lock:
+            for i, key in enumerate(keys):
+                u = self._entries.get(key)
+                w = 1 if weights is None else int(weights[i])
+                if u is None:
+                    misses += w
+                else:
+                    self._entries.move_to_end(key)
+                    hits += w
+                found.append(u)
+            self.stats["hits"] += hits
+            self.stats["misses"] += misses
+        return found
+
+    def insert(self, key: tuple, u):
+        """Store a frozen copy of *u* under *key*; returns the copy.
+
+        The copy keeps a row view from pinning a whole computed batch
+        in memory for the entry's LRU lifetime. Lookups hand out the
+        stored array itself (no copy on the hot path), frozen where the
+        backend supports it, so an accidental in-place edit becomes an
+        immediate error instead of silent cache poisoning.
+        """
+        xp = active()
+        u = xp.freeze(xp.copy(u))
+        self._store(key, u)
+        return u
+
+    def _store(self, key: tuple, u) -> None:
+        with self._lock:
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self._nbytes -= old.nbytes
             self._entries[key] = u
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+            self._nbytes += u.nbytes
+            while (
+                len(self._entries) > self.max_entries
+                or self._nbytes > CACHE_BUDGET_BYTES
+            ):
+                _, evicted = self._entries.popitem(last=False)
+                self._nbytes -= evicted.nbytes
                 self.stats["evictions"] += 1
 
 

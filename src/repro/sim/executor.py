@@ -20,13 +20,21 @@ a pulse job reaches it. It interprets a
    whose amplitudes were seen before (flat-tops, parameter sweeps) and
    drift-only runs reusing the model's precomputed eigendecomposition.
 4. Decoherence — with finite T1/T2 the state is a density matrix and
-   the constant runs evolve through the batched open-system engine
-   (:class:`~repro.sim.open_system.OpenSystemEngine`): exact Lindblad
-   superoperator propagators, stacked and exponentiated together, with
-   a quantum-jump trajectory path for large Hilbert spaces. The legacy
-   unitary+Kraus Trotter interleave is kept behind
-   ``open_system_method="kraus"`` (first-order splitting during drive,
-   no inter-level cascade within a run).
+   the constant runs evolve through the open-system engine
+   (:class:`~repro.sim.open_system.OpenSystemEngine`), scalar and batch
+   paths alike through its one exact entry point
+   (:meth:`~repro.sim.open_system.OpenSystemEngine.evolve_runs`). Each
+   run applies its cached ``(D^2, D^2)`` superpropagator when there is
+   one; otherwise a cost model picks the cheaper exact method — a
+   dense superpropagator build (cached) or the Taylor action of the
+   Lindblad generator on the ``(D, D)`` state — and runs that recur
+   are promoted to cached superpropagators once their action time
+   exceeds one build. ``open_system_method`` forces one method
+   (``"superoperator"``, ``"action"``); the stochastic quantum-jump
+   path runs only as ``"trajectories"``. The legacy unitary+Kraus
+   Trotter interleave is kept behind ``open_system_method="kraus"``
+   (first-order splitting during drive, no inter-level cascade within
+   a run).
 5. Measurement — :class:`Capture` instructions define the measured
    sites and classical slots; outcomes include exact probabilities,
    seeded shot counts, and per-site leakage.
@@ -200,15 +208,11 @@ class ScheduleExecutor:
         propagator_cache: PropagatorCache | None = None,
         open_system_method: str = "auto",
     ) -> None:
-        if open_system_method not in (
-            "auto",
-            "superoperator",
-            "trajectories",
-            "kraus",
-        ):
+        methods = OpenSystemEngine.METHODS + ("kraus",)
+        if open_system_method not in methods:
             raise ValidationError(
-                "open_system_method must be 'auto', 'superoperator', "
-                f"'trajectories' or 'kraus', got {open_system_method!r}"
+                f"open_system_method must be one of {methods}, got "
+                f"{open_system_method!r}"
             )
         self.model = model
         self.readout = dict(readout or {})
@@ -295,13 +299,14 @@ class ScheduleExecutor:
     ) -> list[ExecutionResult]:
         """Run many schedules through one batched evolution pass.
 
-        The whole batch's constant-drive runs are stacked and
-        exponentiated together — one
-        :meth:`PropagatorCache.propagators` call for every driven run
-        of every schedule (closed system) or one
-        :meth:`OpenSystemEngine.superpropagators
-        <repro.sim.open_system.OpenSystemEngine.superpropagators>` call
-        (Lindblad) — instead of one small batched call per schedule.
+        The whole batch's constant-drive runs are evolved together —
+        one :meth:`PropagatorCache.propagators` call for every driven
+        run of every schedule (closed system) or one
+        :meth:`OpenSystemEngine.evolve_runs
+        <repro.sim.open_system.OpenSystemEngine.evolve_runs>` call
+        (Lindblad: cached superpropagators, one batched dense build for
+        the runs the cost model sends there, and Taylor actions stacked
+        across schedules) — instead of one small call per schedule.
         This is the execution kernel the primitives tier
         (:mod:`repro.primitives`) dispatches PUBs through: a 64-point
         parameter scan costs one propagator batch, not 64.
@@ -327,7 +332,7 @@ class ScheduleExecutor:
         *should_cancel* enables cooperative cancellation, polled at
         the batch's chunk boundaries: between schedules on the
         per-schedule fallback path, at every open-system flush (every
-        ``_MAX_OPEN_BATCH_SLICES`` superoperator slices), and before
+        ``_MAX_OPEN_BATCH_SLICES`` runs), and before
         the closed-system stacked call and the measurement tail.
         """
         schedules = list(schedules)
@@ -362,15 +367,7 @@ class ScheduleExecutor:
         use_dm = self.model.has_decoherence()
         _check_cancel(should_cancel)
         if use_dm:
-            method = self.open_system_method
-            if method == "auto":
-                engine = self.open_system
-                method = (
-                    "superoperator"
-                    if engine.dim <= engine.max_superop_dim
-                    else "trajectories"
-                )
-            if method != "superoperator":
+            if self.open_system_method in ("trajectories", "kraus"):
                 # Per-schedule fallback: every schedule is a chunk
                 # boundary of its own.
                 return [
@@ -724,8 +721,9 @@ class ScheduleExecutor:
             states.append(xp.to_host(state))
         return states
 
-    #: Superoperator slices materialized at once by a batched open run
-    #: (a (D^2, D^2) slice is D^2 times a unitary's footprint).
+    #: Runs evolved per engine call on a batched open run: bounds the
+    #: dense superpropagators a flush may build (a (D^2, D^2) slice is
+    #: D^2 times a unitary's footprint).
     _MAX_OPEN_BATCH_SLICES = 512
 
     def _batch_evolve_open(
@@ -734,21 +732,17 @@ class ScheduleExecutor:
         initial_state: np.ndarray | None,
         should_cancel=None,
     ) -> list[np.ndarray]:
-        """Final density matrices: stacked superpropagator calls.
+        """Final density matrices through the engine's exact path.
 
-        Chunked over schedules so the materialized ``(n, D^2, D^2)``
-        stack stays bounded for large batches; the shared propagator
+        Chunked over schedules so the dense superpropagators built at
+        once stay bounded for large batches; the shared propagator
         cache still dedups runs across chunks — and each flush is a
         cooperative-cancellation chunk boundary.
         """
-        from repro.sim.open_system import (
-            unvectorize_density,
-            vectorize_density,
-        )
-
         engine = self.open_system
+        rho0 = self._initial_state(initial_state, use_dm=True)
         states: list[np.ndarray] = []
-        pending: list[tuple[list[np.ndarray], list[int]]] = []
+        pending: list[tuple[np.ndarray, np.ndarray]] = []
         pending_slices = 0
 
         def flush() -> None:
@@ -756,42 +750,34 @@ class ScheduleExecutor:
             if not pending:
                 return
             _check_cancel(should_cancel)
-            xp = active()
-            all_hs = [h for hs, _ in pending for h in hs]
-            all_steps = [s for _, steps in pending for s in steps]
-            props = engine.superpropagators(
-                np.stack(all_hs), np.asarray(all_steps, dtype=np.int64)
-            )
-            offset = 0
-            for hs, _ in pending:
-                rho = self._initial_state(initial_state, use_dm=True)
-                vec = xp.asarray(vectorize_density(rho), dtype=xp.cdtype)
-                for k in range(offset, offset + len(hs)):
-                    vec = xp.matmul(props[k], vec)
-                states.append(
-                    unvectorize_density(xp.to_host(vec), engine.dim)
-                )
-                offset += len(hs)
+            states.extend(engine.evolve_runs(pending, rho0))
             pending, pending_slices = [], 0
 
         for schedule in schedules:
             if schedule.duration == 0:
                 flush()
-                states.append(self._initial_state(initial_state, use_dm=True))
+                states.append(rho0.copy())
                 continue
-            drives, channel_names = self._synthesize_drives(schedule)
-            runs = segment_runs(drives)
-            hs = [
-                self._run_hamiltonian(drives[start], channel_names)
-                for start, _ in runs
-            ]
-            steps = [length for _, length in runs]
+            hs, steps = self._open_runs(*self._synthesize_drives(schedule))
             pending.append((hs, steps))
-            pending_slices += len(hs)
+            pending_slices += len(steps)
             if pending_slices >= self._MAX_OPEN_BATCH_SLICES:
                 flush()
         flush()
         return states
+
+    def _open_runs(
+        self, drives: np.ndarray, channel_names: list[str]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(hamiltonians, steps)`` of a drive matrix's constant runs."""
+        runs = segment_runs(drives)
+        hs = np.stack(
+            [
+                self._run_hamiltonian(drives[start], channel_names)
+                for start, _ in runs
+            ]
+        )
+        return hs, np.asarray([length for _, length in runs], dtype=np.int64)
 
     def _finalize_family(
         self,
@@ -1094,14 +1080,7 @@ class ScheduleExecutor:
     ) -> np.ndarray:
         drives, channel_names = self._synthesize_drives(schedule)
         if use_dm and self.open_system_method != "kraus":
-            runs = segment_runs(drives)
-            hs = np.stack(
-                [
-                    self._run_hamiltonian(drives[start], channel_names)
-                    for start, _ in runs
-                ]
-            )
-            steps = np.asarray([length for _, length in runs], dtype=np.int64)
+            hs, steps = self._open_runs(drives, channel_names)
             return self.open_system.evolve(hs, steps, state, rng=rng)
         xp = active()
         if not use_dm:

@@ -3,8 +3,12 @@ textbook master-equation physics exactly, stay completely positive and
 trace preserving, and agree with the legacy per-slice loop — the
 calibration and mitigation layers build on these behaviours."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     Capture,
@@ -21,6 +25,7 @@ from repro.sim.evolve import batched_expm, batched_propagators
 from repro.sim.model import transmon_model
 from repro.sim.open_system import (
     OpenSystemEngine,
+    as_density,
     batched_superpropagators,
     collapse_operators,
     dissipator_superoperator,
@@ -560,3 +565,278 @@ class TestServingNoiseSweep:
 
         with pytest.raises(JobError):
             dev._executor_for([DecoherenceSpec(t1=1e-6, t2=1e-6)])
+
+
+# ---- exact methods: Taylor action vs dense superoperator -----------------------
+
+#: Geometry per Hilbert dimension of the parity properties.
+GEOMETRIES = {2: (2,), 3: (3,), 9: (3, 3), 27: (3, 3, 3)}
+
+
+@st.composite
+def lindblad_problems(draw, dims_choices=(2, 3, 9), max_steps=2000, max_runs=3):
+    """A random open-system problem: Hermitian runs, collapse set, state.
+
+    Collapse sets mix the per-site T1/T2 channels (applied by gather
+    on the action path) with an optional dense random operator
+    (applied by matmul); start states are kets, density matrices or
+    general non-Hermitian matrices.
+    """
+    dim = draw(st.sampled_from(dims_choices))
+    dims = GEOMETRIES[dim]
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n_runs = draw(st.integers(1, max_runs))
+    scale = draw(st.floats(1e5, 3e7))
+    hs = random_hermitian_stack(n_runs, dim, scale=scale, seed=seed)
+    # A transmon-like lopsided diagonal: what the c-shift is for.
+    hs += np.diag(np.linspace(0.0, draw(st.floats(0.0, 3e8)), dim))
+    # Long runs at D <= 3; a quarter of the length at D >= 9 keeps the
+    # dense reference and the Taylor action affordable.
+    step_cap = max_steps if dim <= 3 else max(1, max_steps // 4)
+    steps = [draw(st.integers(1, step_cap)) for _ in range(n_runs)]
+    specs = [
+        DecoherenceSpec(t1=t1, t2=t1 * draw(st.floats(0.2, 2.0)))
+        for t1 in (draw(st.floats(2e-6, 100e-6)) for _ in dims)
+    ]
+    cops = collapse_operators(dims, specs)
+    if draw(st.booleans()):
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        cops.append(a * draw(st.floats(10.0, 300.0)))
+    kind = draw(st.sampled_from(["ket", "density", "general"]))
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    if kind == "ket":
+        state = a[0]
+    elif kind == "density":
+        state = a @ a.conj().T
+        state /= np.trace(state)
+    else:
+        state = a / np.abs(a).max()
+    return dims, cops, hs, steps, state
+
+
+def engine_for(dims, cops, **kw):
+    return OpenSystemEngine(dims, [], DT, collapse_ops=cops, **kw)
+
+
+class TestExactMethods:
+    """The Taylor action and the dense superoperator are both exact:
+    they must agree to 1e-10 on generated problems, and ``"auto"``
+    (whichever one it routes to) must agree with both."""
+
+    @given(lindblad_problems())
+    @settings(max_examples=30, deadline=None)
+    def test_action_matches_superoperator(self, problem):
+        dims, cops, hs, steps, state = problem
+        eng = engine_for(dims, cops)
+        dense = eng.evolve_density_matrix(hs, steps, state, method="superoperator")
+        action = eng.evolve_density_matrix(hs, steps, state, method="action")
+        assert np.abs(action - dense).max() <= 1e-10
+
+    @given(lindblad_problems(dims_choices=(27,), max_steps=16, max_runs=1))
+    @settings(max_examples=3, deadline=None)
+    def test_action_matches_superoperator_d27(self, problem):
+        dims, cops, hs, steps, state = problem
+        eng = engine_for(dims, cops)
+        dense = eng.evolve_density_matrix(hs, steps, state, method="superoperator")
+        action = eng.evolve_density_matrix(hs, steps, state, method="action")
+        assert np.abs(action - dense).max() <= 1e-10
+
+    @given(lindblad_problems(dims_choices=(2, 3), max_runs=2))
+    @settings(max_examples=25, deadline=None)
+    def test_auto_matches_both(self, problem):
+        dims, cops, hs, steps, state = problem
+        eng = engine_for(dims, cops)
+        auto = eng.evolve_density_matrix(hs, steps, state)
+        dense = eng.evolve_density_matrix(hs, steps, state, method="superoperator")
+        action = eng.evolve_density_matrix(hs, steps, state, method="action")
+        assert np.abs(auto - dense).max() <= 1e-10
+        assert np.abs(auto - action).max() <= 1e-10
+
+    @given(lindblad_problems(dims_choices=(2, 3, 9), max_steps=16))
+    @settings(max_examples=25, deadline=None)
+    def test_complex64_within_policy_tolerance(self, problem):
+        """The complex64 policy declares 1e-5 per propagator, so the
+        runs here are pulse-length (<= 16 samples). Single-precision
+        error grows with the accumulated phase (~2e-8 per radian, for
+        the dense superoperator too), so long runs are not held to it.
+        """
+        from repro.xp import active, use_backend
+
+        dims, cops, hs, steps, state = problem
+        # The policy tolerance is absolute: hold it on unit-trace states.
+        if state.ndim == 2:
+            state = state[0]
+        state = as_density(state, hs.shape[1])
+        eng = engine_for(dims, cops)
+        exact = eng.evolve_density_matrix(hs, steps, state, method="superoperator")
+        with use_backend(dtype="complex64"):
+            atol = active().atol
+            single = eng.evolve_density_matrix(hs, steps, state, method="action")
+        assert np.abs(single - exact).max() <= atol
+
+    def test_long_runs_route_dense(self):
+        """Long runs at small D: the model prices a dense build below
+        the Taylor action, so ``"auto"`` builds and caches it."""
+        eng = OpenSystemEngine((3,), [DecoherenceSpec(t1=20e-6, t2=15e-6)], DT)
+        hs = random_hermitian_stack(2, 3, seed=21)
+        steps = [2000, 1500]
+        build, apply, action = eng.route_costs(
+            float(eng._generators(hs[:1])[1][0] * 2000 * DT)
+        )
+        assert build + apply < action
+        auto = eng.evolve_density_matrix(hs, steps, np.eye(3) / 3)
+        assert len(eng.cache) == 2
+        dense = eng.evolve_density_matrix(
+            hs, steps, np.eye(3) / 3, method="superoperator"
+        )
+        assert np.abs(auto - dense).max() <= 1e-10
+        assert eng.cache.hits == 2  # the forced dense pass reused them
+
+    def test_fresh_d27_pulse_routes_to_action(self):
+        eng = OpenSystemEngine(
+            (3, 3, 3), [DecoherenceSpec(t1=20e-6, t2=15e-6)] * 3, DT
+        )
+        hs = random_hermitian_stack(1, 27, scale=50e6, seed=22)
+        psi = np.zeros(27, dtype=np.complex128)
+        psi[0] = 1.0
+        rho = eng.evolve_density_matrix(hs, [16], psi)
+        assert len(eng.cache) == 0 and eng.cache.nbytes == 0
+        assert eng._dissipator is None  # no D^4 array was ever formed
+        assert abs(np.trace(rho) - 1.0) < 1e-12
+
+    def test_recurring_run_promoted_by_ski_rental(self):
+        """A run the model prices as action is re-evaluated by action
+        until its accumulated action cost reaches one dense build; then
+        it is built and cached, and later calls hit the cache."""
+        eng = OpenSystemEngine(
+            (3, 3), [DecoherenceSpec(t1=20e-6, t2=15e-6)] * 2, DT
+        )
+        hs = random_hermitian_stack(1, 9, scale=2e6, seed=23)
+        norm = float(eng._generators(hs)[1][0] * DT)
+        build, apply, action = eng.route_costs(norm)
+        assert action < build + apply  # one use: action is cheaper
+        rentals = math.ceil(build / action) - 1
+        psi = np.zeros(9, dtype=np.complex128)
+        psi[4] = 1.0
+        first = eng.evolve_density_matrix(hs, [1], psi)
+        calls = 1
+        while len(eng.cache) == 0:
+            again = eng.evolve_density_matrix(hs, [1], psi)
+            assert np.abs(again - first).max() <= 1e-12
+            calls += 1
+            assert calls <= rentals + 1
+        assert calls == rentals + 1
+        eng.evolve_density_matrix(hs, [1], psi)
+        assert eng.cache.hits == 1
+
+    def test_repeats_within_one_call_count_toward_dense(self):
+        """The same run used many times in one call prices every use:
+        an echo train's repeated pulse goes dense at once."""
+        eng = OpenSystemEngine(
+            (3, 3), [DecoherenceSpec(t1=20e-6, t2=15e-6)] * 2, DT
+        )
+        hs = np.repeat(random_hermitian_stack(1, 9, scale=50e6, seed=24), 40, 0)
+        eng.evolve_density_matrix(hs, 1, np.eye(9) / 9)
+        assert len(eng.cache) == 1
+
+    def test_auto_is_never_stochastic(self):
+        """``"auto"`` returns the exact result at every dimension —
+        including past the old D=32 superoperator cut-off — and never
+        consumes randomness; only ``"trajectories"`` samples."""
+        for dims in [(2,), (3, 3), (3, 3, 2, 2)]:
+            specs = [DecoherenceSpec(t1=10e-6, t2=12e-6)] * len(dims)
+            eng = OpenSystemEngine(dims, specs, DT)
+            dim = eng.dim
+            hs = random_hermitian_stack(2, dim, scale=20e6, seed=25)
+            psi = np.zeros(dim, dtype=np.complex128)
+            psi[-1] = 1.0
+            a = eng.evolve(hs, [8, 30], psi, rng=np.random.default_rng(1))
+            b = eng.evolve(hs, [8, 30], psi, rng=np.random.default_rng(2))
+            exact = eng.evolve_density_matrix(hs, [8, 30], psi, method="action")
+            assert np.array_equal(a, b)
+            assert np.abs(a - exact).max() <= 1e-10
+        specs = [DecoherenceSpec(t1=10e-6, t2=12e-6)]
+        s = PulseSchedule()
+        s.append(Play(Port.drive(0), drive_frame(), pi_pulse()))
+        s.append(Capture(Port.acquire(0), Frame("acq", 0.0), 0))
+        ex = ScheduleExecutor(make_model(decoherence=specs))
+        r1 = ex.execute(s, shots=0, seed=1).final_state
+        r2 = ex.execute(s, shots=0, seed=2).final_state
+        assert np.array_equal(r1, r2)
+
+    def test_executor_methods_agree_scalar_and_batch(self):
+        """Scalar ``execute`` and ``execute_batch`` go through the same
+        engine entry point; every exact method gives the same states."""
+        specs = [
+            DecoherenceSpec(t1=30e-6, t2=25e-6),
+            DecoherenceSpec(t1=60e-6, t2=80e-6),
+        ]
+        schedules = []
+        for frac in (1.0, 0.5, 0.25):
+            s = PulseSchedule()
+            s.append(Play(Port.drive(0), drive_frame(0), pi_pulse(frac)))
+            s.append(Delay(Port.drive(0), 300))
+            s.append(Play(Port.drive(1), drive_frame(1), pi_pulse(0.5)))
+            schedules.append(s)
+        schedules.append(PulseSchedule())  # zero duration
+        reference = None
+        for method in ("superoperator", "action", "auto"):
+            ex = ScheduleExecutor(
+                make_model(levels=3, n=2, decoherence=specs),
+                open_system_method=method,
+            )
+            batch = [r.final_state for r in ex.execute_batch(schedules, shots=0)]
+            scalar = [ex.execute(s, shots=0).final_state for s in schedules]
+            if reference is None:
+                reference = batch
+            for a, b, ref in zip(batch, scalar, reference):
+                assert np.abs(a - b).max() <= 1e-10
+                assert np.abs(a - ref).max() <= 1e-10
+
+    def test_taylor_parameters_respect_theta(self):
+        from repro.sim.open_system import _THETA, taylor_parameters
+
+        assert taylor_parameters(0.0) == (0, 1)
+        for norm in (1e-3, 0.5, 9.9, 10.0, 99.6, 2500.0):
+            m, s = taylor_parameters(norm)
+            assert norm / s <= _THETA[m]
+            m32, s32 = taylor_parameters(norm, max_degree=30)
+            assert m32 <= 30 and norm / s32 <= _THETA[m32]
+            assert m32 * s32 >= m * s
+
+
+class TestPropagatorCacheBudget:
+    def test_resident_bytes_stay_under_budget(self, monkeypatch):
+        from repro.sim import evolve
+        from repro.sim.evolve import PropagatorCache
+
+        budget = 64 << 20
+        monkeypatch.setattr(evolve, "CACHE_BUDGET_BYTES", budget)
+        cache = PropagatorCache()
+        entry = np.ones((729, 729), dtype=np.complex128)  # a D=27 superprop
+        for i in range(20):
+            cache.insert(("t", "s", bytes([i]), DT, 1), entry)
+            assert cache.nbytes <= budget
+        kept = budget // entry.nbytes
+        assert len(cache) == kept
+        assert cache.nbytes == kept * entry.nbytes
+        assert cache.stats["evictions"] == 20 - kept
+        # The most recent entries survive; an entry over the whole
+        # budget is not kept at all.
+        assert cache.lookup([("t", "s", bytes([19]), DT, 1)])[0] is not None
+        huge = np.ones((budget // 16 + 1,), dtype=np.complex128)
+        cache.insert(("t", "s", b"huge", DT, 1), huge)
+        assert cache.nbytes <= budget
+        assert cache.lookup([("t", "s", b"huge", DT, 1)])[0] is None
+        cache.clear()
+        assert cache.nbytes == 0
+
+    def test_reinsert_does_not_double_count(self):
+        from repro.sim.evolve import PropagatorCache
+
+        cache = PropagatorCache()
+        entry = np.ones((9, 9), dtype=np.complex128)
+        cache.insert(("k",), entry)
+        cache.insert(("k",), entry)
+        assert cache.nbytes == entry.nbytes
